@@ -286,11 +286,19 @@ func BenchmarkReplayEndToEnd(b *testing.B) {
 		}
 		w2 := simmpi.NewWorld(ranks, simmpi.Options{Seed: int64(i) + 7777, MaxJitter: 8})
 		err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-			recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+			scan, err := core.OpenRecord(bytes.NewReader(files[rank]))
 			if err != nil {
 				return err
 			}
-			rp := replay.New(lamport.WrapManual(mpi), recFile, replay.Options{})
+			meta, err := replay.ScanRecord(scan)
+			if err != nil {
+				return err
+			}
+			feed, err := core.OpenRecord(bytes.NewReader(files[rank]))
+			if err != nil {
+				return err
+			}
+			rp := replay.NewStream(lamport.WrapManual(mpi), meta, replay.IterSource(feed), replay.Options{})
 			res, rerr := mcb.Run(rp, params)
 			if rerr != nil {
 				return rerr

@@ -87,13 +87,13 @@ func OpenStore(dir string) (Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch m.Layout {
+	switch l := m.EffectiveLayout(); l {
 	case store.LayoutSharded:
 		return shardstore.New(dir), nil
-	case store.LayoutDir, "":
+	case store.LayoutDir:
 		return dirstore.New(dir), nil
 	default:
-		return nil, fmt.Errorf("cdc: %s: unknown storage layout %q", dir, m.Layout)
+		return nil, fmt.Errorf("cdc: %s: unknown storage layout %q", dir, l)
 	}
 }
 

@@ -97,8 +97,14 @@ func TestOpenFeedStreamsRecord(t *testing.T) {
 		t.Fatal("fixture committed no epochs")
 	}
 
-	for _, start := range []int{0, 1, epochs} {
-		t.Run(fmt.Sprintf("start=%d", start), func(t *testing.T) {
+	// The epoch count varies with message timing, so the past-the-end case
+	// is named "end" rather than by its number, keeping subtest names stable.
+	for _, tc := range []struct {
+		name  string
+		start int
+	}{{"0", 0}, {"1", 1}, {"end", epochs}} {
+		start := tc.start
+		t.Run("start="+tc.name, func(t *testing.T) {
 			f, err := OpenFeed(
 				WithStore(st), WithApp("mcb"),
 				WithFeedRank(1),

@@ -25,7 +25,7 @@ import (
 	"cdcreplay/cdc"
 	"cdcreplay/internal/core"
 	"cdcreplay/internal/store"
-	"cdcreplay/internal/store/recorddir"
+	"cdcreplay/internal/store/dirstore"
 )
 
 func usage() {
@@ -195,7 +195,7 @@ func cmdSalvage(args []string) int {
 	if *out != "" {
 		// Copy-out salvage is a dir-layout operation: it re-emits one record
 		// file per rank. Other layouts salvage in place through their store.
-		report, err = recorddir.Salvage(dir, *out)
+		report, err = dirstore.SalvageTo(dir, *out)
 	} else {
 		var st cdc.Store
 		if st, err = cdc.OpenStore(dir); err == nil {

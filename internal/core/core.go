@@ -22,7 +22,7 @@
 // reader can stop cleanly at the last intact frame of a crashed run's
 // record. A flush-point frame marks a consistent cut: the encoder writes one
 // only when every callsite stream was flushed through it, which is what
-// makes a salvaged prefix replayable (see recorddir.Salvage). The frame
+// makes a salvaged prefix replayable (see store.PlanSalvage). The frame
 // carries the rank's own Lamport clock at the cut (a lower bound sampled on
 // the application thread): every send the rank made with a smaller or equal
 // clock provably precedes the cut, which is what lets salvage compute a
@@ -660,45 +660,13 @@ func (r *Record) Callsites() []uint64 {
 	return out
 }
 
-// ReadRecord decodes a complete record file into memory. It is a thin
-// drain-everything wrapper over OpenRecord + DrainRecord.
-//
-// Deprecated: open a streaming RecordIter (OpenRecord or, for a pooled
-// decode, OpenRecordOptions) and iterate it — or DrainRecord it when a
-// materialized *Record is genuinely needed. RecordIter is the canonical
-// decode path; this wrapper exists for callers that predate it.
-func ReadRecord(rd io.Reader) (*Record, error) {
-	rec, err := ReadRecordPrefix(rd)
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// ReadRecordPrefix decodes like ReadRecord but keeps what it verified: on
-// a damaged or truncated stream the CRC-valid prefix record is returned
-// alongside the error (a *TruncatedRecordError for truncation), instead of
-// being discarded. Storage backends use it to read a live run's blob
-// pinned at a committed cut, where running out of bytes mid-frame is the
-// pin boundary, not damage.
-//
-// Deprecated: open a streaming RecordIter and DrainRecord it; the prefix
-// semantics live there now. This wrapper exists for callers that predate
-// the unified reader.
-func ReadRecordPrefix(rd io.Reader) (*Record, error) {
-	it, err := OpenRecord(rd)
-	if err != nil {
-		return &Record{Chunks: make(map[uint64][]*cdcformat.Chunk)}, err
-	}
-	return DrainRecord(it)
-}
-
 // DrainRecord consumes the iterator's remaining frames into a materialized
 // *Record, closing the iterator. On a damaged or truncated stream the
 // CRC-valid prefix record is returned alongside the error (a
-// *TruncatedRecordError for truncation) — ReadRecordPrefix semantics for
-// any RecordIter, however its frames are decoded (serial, pooled, or
-// segment-parallel).
+// *TruncatedRecordError for truncation), however the iterator's frames
+// are decoded (serial, pooled, or segment-parallel). Storage backends lean
+// on this to read a live run's blob pinned at a committed cut, where
+// running out of bytes mid-frame is the pin boundary, not damage.
 func DrainRecord(it *RecordIter) (*Record, error) {
 	rec := &Record{
 		Chunks: make(map[uint64][]*cdcformat.Chunk),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -88,7 +89,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("BytesWritten %d != buffer %d", enc.BytesWritten(), buf.Len())
 	}
 
-	rec, err := ReadRecord(bytes.NewReader(buf.Bytes()))
+	rec, err := drainAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +234,16 @@ func TestDoubleCloseIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestReadRecordRejectsGarbage checks a whole-record read (OpenRecord +
+// DrainRecord) refuses input that is not a record.
 func TestReadRecordRejectsGarbage(t *testing.T) {
-	if _, err := ReadRecord(bytes.NewReader([]byte("not a record"))); err == nil {
+	if _, err := drainAll(bytes.NewReader([]byte("not a record"))); err == nil {
 		t.Fatal("accepted garbage")
 	}
-	if _, err := ReadRecord(bytes.NewReader([]byte("CDCRECv1 garbage follows"))); err == nil {
+	if _, err := drainAll(bytes.NewReader([]byte("CDCRECv1 garbage follows"))); err == nil {
 		t.Fatal("accepted corrupt gzip stream")
 	}
-	if _, err := ReadRecord(bytes.NewReader(nil)); err == nil {
+	if _, err := drainAll(bytes.NewReader(nil)); err == nil {
 		t.Fatal("accepted empty input")
 	}
 }
@@ -271,4 +274,18 @@ func TestCompressionOrdering(t *testing.T) {
 	t.Logf("raw=%dB cdc=%dB ratio=%.1fx bytes/event=%.3f",
 		rawBytes, cdcBytes, float64(rawBytes)/float64(cdcBytes),
 		float64(cdcBytes)/float64(enc.Stats().MatchedEvents))
+}
+
+// drainAll decodes a whole record through the one reader, OpenRecord then
+// DrainRecord, and fails on any damage.
+func drainAll(rd io.Reader) (*Record, error) {
+	it, err := OpenRecord(rd)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := DrainRecord(it)
+	if err != nil {
+		return nil, err
+	}
+	return rec, nil
 }

@@ -491,8 +491,8 @@ func OpenRecordSegmentsAt(ra io.ReaderAt, size, start int64, cuts []int64, o Dec
 }
 
 // ReadRecordOptions decodes a complete record into memory through a decode
-// policy — ReadRecord behind DecoderOptions. Like ReadRecord it fails on
-// damage; use OpenRecordOptions + DrainRecord for prefix semantics.
+// policy: OpenRecordOptions + DrainRecord, failing on any damage. Use the
+// two directly for prefix semantics.
 func ReadRecordOptions(rd io.Reader, o DecoderOptions) (*Record, error) {
 	it, err := OpenRecordOptions(rd, o)
 	if err != nil {

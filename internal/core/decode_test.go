@@ -303,10 +303,10 @@ func TestParallelDecodeStress(t *testing.T) {
 }
 
 // TestReadRecordOptionsMatchesReadRecord pins the convenience wrapper to
-// the eager reader's result.
+// a serial whole-record read (OpenRecord + DrainRecord).
 func TestReadRecordOptionsMatchesReadRecord(t *testing.T) {
 	data, _ := buildSeekableRecord(t, 107, 600, 4)
-	want, err := ReadRecord(bytes.NewReader(data))
+	want, err := drainAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func FuzzParallelDecode(f *testing.F) {
 // never a panic or a wrong stream.
 func TestOpenRecordSegmentsBadCuts(t *testing.T) {
 	data, _ := buildSeekableRecord(t, 108, 400, 4)
-	serial, err := ReadRecord(bytes.NewReader(data))
+	serial, err := drainAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"cdcreplay/internal/tables"
 )
 
-// A recorder feeds observed events into the Encoder; ReadRecord recovers
-// the chunked tables. Here four in-reference-order receives compress to a
+// A recorder feeds observed events into the Encoder; a RecordIter drained
+// with DrainRecord recovers the chunked tables. Here four in-reference-order receives compress to a
 // chunk with no permutation moves at all (§3.3).
 func ExampleEncoder() {
 	var buf bytes.Buffer
@@ -20,7 +20,8 @@ func ExampleEncoder() {
 	}
 	enc.Close()
 
-	rec, _ := core.ReadRecord(bytes.NewReader(buf.Bytes()))
+	it, _ := core.OpenRecord(bytes.NewReader(buf.Bytes()))
+	rec, _ := core.DrainRecord(it)
 	chunk := rec.Chunks[1][0]
 	fmt.Println("callsite:", rec.Names[1])
 	fmt.Println("events:", chunk.NumMatched, "moves:", len(chunk.Moves))

@@ -229,7 +229,7 @@ func TestParallelEncodeStress(t *testing.T) {
 				trial, workers, chunk, flushEvery)
 		}
 		// The parallel record must decode like any other.
-		rec, err := ReadRecord(bytes.NewReader(parallel.Bytes()))
+		rec, err := drainAll(bytes.NewReader(parallel.Bytes()))
 		if err != nil {
 			t.Fatalf("trial %d: decoding parallel record: %v", trial, err)
 		}
@@ -239,7 +239,7 @@ func TestParallelEncodeStress(t *testing.T) {
 	}
 }
 
-// TestOpenRecordStreams checks the streaming iterator against ReadRecord on
+// TestOpenRecordStreams checks the streaming iterator against DrainRecord on
 // the same bytes: same chunks in the same order, same names, same totals.
 func TestOpenRecordStreams(t *testing.T) {
 	var buf bytes.Buffer
@@ -249,7 +249,7 @@ func TestOpenRecordStreams(t *testing.T) {
 	}
 	driveEncoder(t, enc, 7, 1000, 90)
 
-	want, err := ReadRecord(bytes.NewReader(buf.Bytes()))
+	want, err := drainAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +275,11 @@ func TestOpenRecordStreams(t *testing.T) {
 	}
 	for cs, chunks := range want.Chunks {
 		if gotChunks[cs] != len(chunks) {
-			t.Errorf("callsite %d: iterator saw %d chunks, ReadRecord %d", cs, gotChunks[cs], len(chunks))
+			t.Errorf("callsite %d: iterator saw %d chunks, DrainRecord %d", cs, gotChunks[cs], len(chunks))
 		}
 	}
 	if !reflect.DeepEqual(it.Names(), want.Names) {
-		t.Errorf("names diverge: iterator %v, ReadRecord %v", it.Names(), want.Names)
+		t.Errorf("names diverge: iterator %v, DrainRecord %v", it.Names(), want.Names)
 	}
 	if uint64(frames) != it.Frames() {
 		t.Errorf("frame count: %d yielded, %d reported", frames, it.Frames())

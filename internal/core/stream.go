@@ -65,8 +65,8 @@ type Frame struct {
 
 // FrameReader decodes a record file incrementally, one frame at a time,
 // without materializing the whole stream — the memory-bounded path a
-// replay-side CDC thread would use (paper Fig. 11's decode box). ReadRecord
-// is a convenience built on top of it.
+// replay-side CDC thread would use (paper Fig. 11's decode box).
+// RecordIter is built on top of it.
 //
 // Every frame's CRC32 trailer is verified before the frame is returned. On
 // a damaged or truncated stream, Next returns a *TruncatedRecordError
@@ -305,8 +305,8 @@ var _ frameSource = (*FrameReader)(nil)
 // verified frame at a time, accumulating callsite names as they stream
 // past, so tooling and replay walk records of any size in bounded memory
 // instead of materializing a *Record. Every other reader in the repo —
-// ReadRecord, ReadRecordPrefix, store.LoadRank, the cdc facade's
-// RecordReader — is a thin wrapper over it, and DecoderOptions decides
+// DrainRecord, store.LoadRank, the cdc facade's RecordReader — is a thin
+// wrapper over it, and DecoderOptions decides
 // whether the frames behind it are decoded serially or by a worker pool
 // (see OpenRecordOptions).
 //

@@ -35,9 +35,11 @@ func buildRecordBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// TestFrameReaderMatchesReadRecord checks frame-by-frame reading against a
+// whole-record read (OpenRecord + DrainRecord) of the same bytes.
 func TestFrameReaderMatchesReadRecord(t *testing.T) {
 	data := buildRecordBytes(t)
-	rec, err := ReadRecord(bytes.NewReader(data))
+	rec, err := drainAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestFrameReaderMatchesReadRecord(t *testing.T) {
 		}
 	}
 	if chunks != wantChunks || events != wantEvents {
-		t.Fatalf("streamed %d chunks/%d events, ReadRecord has %d/%d", chunks, events, wantChunks, wantEvents)
+		t.Fatalf("streamed %d chunks/%d events, DrainRecord has %d/%d", chunks, events, wantChunks, wantEvents)
 	}
 	if names[1] != rec.Names[1] || names[2] != rec.Names[2] {
 		t.Fatalf("names %v vs %v", names, rec.Names)
@@ -111,7 +113,7 @@ func TestCorruptRecordNeverPanics(t *testing.T) {
 				t.Fatalf("decoder panicked on corrupt input: %v", p)
 			}
 		}()
-		rec, err := ReadRecord(bytes.NewReader(b))
+		rec, err := drainAll(bytes.NewReader(b))
 		_ = rec
 		_ = err // either outcome is acceptable; panics are not
 	}
@@ -151,7 +153,7 @@ func TestCorruptChunkPayloadDetected(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRecord(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := drainAll(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 }

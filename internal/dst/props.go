@@ -269,24 +269,14 @@ func checkReplayOrder(p expParams, app appFunc, bufs []*bytes.Buffer, taps [][]r
 		// chunk feed pulled lazily from the (possibly pooled) decoder — so
 		// the bounded-reorder adversary runs against exactly the machinery
 		// cdc.Replay uses.
-		o := core.DecoderOptions{DecodeWorkers: decodeWorkersFor(p.seed, 11)}
-		scanIt, err := core.OpenRecordOptions(bytes.NewReader(bufs[rank].Bytes()), o)
-		if err != nil {
-			return err
-		}
-		meta, err := replay.ScanRecord(scanIt)
-		if err != nil {
-			return err
-		}
-		feedIt, err := core.OpenRecordOptions(bytes.NewReader(bufs[rank].Bytes()), o)
-		if err != nil {
-			return err
-		}
-		rp := replay.NewStream(lamport.WrapManual(mpi), meta, replay.IterSource(feedIt), replay.Options{
+		rp, err := openReplayer(lamport.WrapManual(mpi), bufs[rank].Bytes(), decodeWorkersFor(p.seed, 11), replay.Options{
 			OnRelease: func(st simmpi.Status) {
 				reps[rank] = append(reps[rank], rcv{st.Source, st.Tag, st.Clock})
 			},
 		})
+		if err != nil {
+			return err
+		}
 		aerr := app(rp)
 		verr := error(nil)
 		if aerr == nil {
@@ -319,6 +309,26 @@ func checkReplayOrder(p expParams, app appFunc, bufs []*bytes.Buffer, taps [][]r
 	return nil
 }
 
+// openReplayer builds the streaming replay stack cdc.Replay uses over one
+// rank's record bytes: a ScanRecord prescan pass, then NewStream pulling
+// chunks lazily from a second pass through the (possibly pooled) decoder.
+func openReplayer(next *lamport.Layer, data []byte, workers int, opts replay.Options) (*replay.Replayer, error) {
+	o := core.DecoderOptions{DecodeWorkers: workers}
+	scanIt, err := core.OpenRecordOptions(bytes.NewReader(data), o)
+	if err != nil {
+		return nil, err
+	}
+	meta, err := replay.ScanRecord(scanIt)
+	if err != nil {
+		return nil, err
+	}
+	feedIt, err := core.OpenRecordOptions(bytes.NewReader(data), o)
+	if err != nil {
+		return nil, err
+	}
+	return replay.NewStream(next, meta, replay.IterSource(feedIt), opts), nil
+}
+
 // checkReRecord is P2, the paper's Theorem 1 end to end: stacking a fresh
 // recorder on top of the replayer (on yet another schedule) must reproduce
 // every rank's record stream byte for byte — possible only if the replayed
@@ -329,13 +339,13 @@ func checkReRecord(p expParams, app appFunc, bufs []*bytes.Buffer) error {
 	w := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seq, Delivery: deliveryFor("", 0, 0)})
 	bufs2 := make([]*bytes.Buffer, p.ranks)
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := readRecord(bufs[rank].Bytes(), decodeWorkersFor(p.seed, 12))
+		// CallsiteSkip hops over the interposed recorder frame so the
+		// replayer resolves the application's call sites, as the record did.
+		rp, err := openReplayer(lamport.WrapManual(mpi), bufs[rank].Bytes(), decodeWorkersFor(p.seed, 12), replay.Options{CallsiteSkip: 1})
 		if err != nil {
 			return err
 		}
-		// CallsiteSkip hops over the interposed recorder frame so the
-		// replayer resolves the application's call sites, as the record did.
-		rp := replay.New(lamport.WrapManual(mpi), rec, replay.Options{CallsiteSkip: 1})
+		defer rp.Close() //cdc:allow(errsink) in-memory source; decode errors surface during replay
 		bufs2[rank] = &bytes.Buffer{}
 		enc, err := core.NewEncoder(bufs2[rank], encOpts())
 		if err != nil {
@@ -537,16 +547,26 @@ func runCrashStore(p expParams, st store.Store) (decisions, counts []int, verdic
 	wB := simmpi.NewWorld(p.ranks, simmpi.Options{Sequencer: seqB, Delivery: deliveryFor("", 0, 0)})
 	reps := make([][]rcv, p.ranks)
 	errB := wB.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := store.LoadRank(st, rank)
+		scanIt, blob, err := store.OpenRankIter(st, rank, core.DecoderOptions{})
 		if err != nil {
 			return err
 		}
-		rp := replay.New(lamport.WrapManual(mpi), rec, replay.Options{
+		meta, err := replay.ScanRecord(scanIt)
+		if err := errors.Join(err, blob.Close()); err != nil {
+			return err
+		}
+		it, blob, err := store.OpenRankIter(st, rank, core.DecoderOptions{})
+		if err != nil {
+			return err
+		}
+		defer blob.Close() //cdc:allow(errsink) read-side close; decode errors surface during replay
+		rp := replay.NewStream(lamport.WrapManual(mpi), meta, replay.IterSource(it), replay.Options{
 			LiveAfterExhausted: true,
 			OnRelease: func(st simmpi.Status) {
 				reps[rank] = append(reps[rank], rcv{st.Source, st.Tag, st.Clock})
 			},
 		})
+		defer rp.Close() //cdc:allow(errsink) read-side close; decode errors surface during replay
 		if aerr := app(rp); aerr != nil {
 			return aerr
 		}

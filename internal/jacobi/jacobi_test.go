@@ -133,11 +133,19 @@ func TestRecordReplay(t *testing.T) {
 
 	w2 := simmpi.NewWorld(n, simmpi.Options{Seed: 66, MaxJitter: 6})
 	err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		scan, err := core.OpenRecord(bytes.NewReader(files[rank]))
 		if err != nil {
 			return err
 		}
-		rp := replay.New(lamport.WrapManual(mpi), recFile, replay.Options{})
+		meta, err := replay.ScanRecord(scan)
+		if err != nil {
+			return err
+		}
+		feed, err := core.OpenRecord(bytes.NewReader(files[rank]))
+		if err != nil {
+			return err
+		}
+		rp := replay.NewStream(lamport.WrapManual(mpi), meta, replay.IterSource(feed), replay.Options{})
 		r, rerr := Run(rp, params)
 		if rerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, rerr)

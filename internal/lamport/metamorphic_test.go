@@ -83,12 +83,20 @@ func TestMetamorphicDeliveryPermutation(t *testing.T) {
 		finals := make([]uint64, ranks)
 		w := simmpi.NewWorld(ranks, simmpi.Options{Seed: int64(100 + 37*trial), MaxJitter: 7})
 		err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-			rec, err := core.ReadRecord(bytes.NewReader(bufs[rank].Bytes()))
+			scan, err := core.OpenRecord(bytes.NewReader(bufs[rank].Bytes()))
+			if err != nil {
+				return err
+			}
+			meta, err := replay.ScanRecord(scan)
+			if err != nil {
+				return err
+			}
+			feed, err := core.OpenRecord(bytes.NewReader(bufs[rank].Bytes()))
 			if err != nil {
 				return err
 			}
 			ll := lamport.WrapManual(mpi)
-			rp := replay.New(ll, rec, replay.Options{
+			rp := replay.NewStream(ll, meta, replay.IterSource(feed), replay.Options{
 				OnRelease: func(st simmpi.Status) {
 					repClocks[rank] = append(repClocks[rank], st.Clock)
 				},

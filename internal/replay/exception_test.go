@@ -74,15 +74,9 @@ func TestBoundaryInversionException(t *testing.T) {
 	}
 
 	// The record must contain an exception entry for the inverted message.
-	rec0, err := core.ReadRecord(bytes.NewReader(files[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
 	excs := 0
-	for _, chunks := range rec0.Chunks {
-		for _, c := range chunks {
-			excs += len(c.Exceptions)
-		}
+	for _, cm := range scanFile(t, files[0]).Callsites {
+		excs += len(cm.ExcChunk)
 	}
 	if excs != 1 {
 		t.Fatalf("expected 1 boundary-inversion exception, found %d", excs)
@@ -90,11 +84,10 @@ func TestBoundaryInversionException(t *testing.T) {
 
 	w2 := simmpi.NewWorld(2, simmpi.Options{Seed: 77, MaxJitter: 4})
 	err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := openReplayer(lamport.WrapManual(mpi), files[rank], Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), recFile, Options{})
 		got, aerr := theApp(rp)
 		if aerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, aerr)

@@ -171,9 +171,9 @@ type Replayer struct {
 	// crossed.
 	liveNotes []string
 
-	// Streaming-replay state (NewStream): the shared chunk source, chunks
-	// pulled ahead for callsites not yet asking, and the latched terminal
-	// source state (ErrExhausted after a clean end).
+	// Streaming-replay state: the shared chunk source, chunks pulled ahead
+	// for callsites not yet asking, and the latched terminal source state
+	// (ErrExhausted after a clean end).
 	src     ChunkSource
 	pending map[uint64][]*cdcformat.Chunk
 	srcErr  error
@@ -212,67 +212,6 @@ type Stats struct {
 }
 
 var _ simmpi.MPI = (*Replayer)(nil)
-
-// newReplayer builds the rank-replay shell shared by New and NewStream.
-func newReplayer(next *lamport.Layer, opts Options) *Replayer {
-	opts.fill()
-	rp := &Replayer{
-		next:        next,
-		opts:        opts,
-		streams:     make(map[uint64]*stream),
-		lastSeen:    make(map[int32]uint64),
-		outstanding: make(map[*simmpi.Request]bool),
-		appDone:     make(map[*simmpi.Request]bool),
-	}
-	reg := opts.Obs
-	rp.obsReg = reg
-	rp.mReleases = reg.Counter("replay.releases")
-	rp.mOptimistic = reg.Counter("replay.optimistic")
-	rp.mLive = reg.Counter("replay.live.releases")
-	rp.mStallPolls = reg.Counter("replay.stall.polls")
-	rp.mClockWaitNs = reg.Counter("replay.clockwait.ns")
-	rp.mWaitNs = reg.Histogram("replay.wait.ns", obs.LatencyBounds())
-	rp.mPool = reg.Gauge("replay.pool.depth")
-	return rp
-}
-
-// New creates a Replayer for one rank from a fully decoded record. next
-// must be a manual-mode lamport layer (lamport.WrapManual). It is the eager
-// wrapper over the streaming machinery: each callsite's fetch closure walks
-// the already-decoded slice. For records too large to materialize — or to
-// replay straight off the parallel decode pipeline — use NewStream.
-func New(next *lamport.Layer, rec *core.Record, opts Options) *Replayer {
-	rp := newReplayer(next, opts)
-	for cs, chunks := range rec.Chunks {
-		name := rec.Names[cs]
-		if name == "" {
-			name = fmt.Sprintf("callsite %#x", cs)
-		}
-		st := &stream{name: name}
-		for ci, c := range chunks {
-			st.total += c.NumMatched
-			for _, e := range c.Exceptions {
-				if st.excChunk == nil {
-					st.excChunk = make(map[tables.MatchedEntry]int)
-				}
-				e.Tag = 0 // keyed by (rank, clock) only
-				st.excChunk[e] = ci
-			}
-		}
-		chunks := chunks
-		next := 0
-		st.fetch = func() (*cdcformat.Chunk, error) {
-			if next >= len(chunks) {
-				return nil, ErrExhausted
-			}
-			c := chunks[next]
-			next++
-			return c, nil
-		}
-		rp.streams[cs] = st
-	}
-	return rp
-}
 
 // CallsiteMeta is the per-callsite summary a streaming replay needs up
 // front: how many matched events the record holds (for Verify) and which
@@ -363,21 +302,41 @@ func (s iterSource) Close() error { return s.it.Close() }
 // glue between the core decode pipeline (serial or pooled) and NewStream.
 func IterSource(it *core.RecordIter) ChunkSource { return iterSource{it} }
 
-// NewStream creates a Replayer that pulls chunks from src as replay
-// progresses instead of materializing the record: with a pooled decode
-// behind src (core.OpenRecordOptions / OpenRecordSegments), decoded chunks
-// arrive a bounded prefetch window ahead of the consumption frontier and
-// the whole record is never resident at once. meta comes from a ScanRecord
-// prescan of the same record (the prescan pass may — and with a store,
-// should — run through the parallel decoder too).
+// NewStream creates the Replayer for one rank; it is the one replay entry
+// point. next must be a manual-mode lamport layer (lamport.WrapManual).
+// The replayer pulls chunks from src as replay progresses instead of
+// materializing the record: with a pooled decode behind src
+// (core.OpenRecordOptions / OpenRecordSegments), decoded chunks arrive a
+// bounded prefetch window ahead of the consumption frontier and the whole
+// record is never resident at once. meta comes from a ScanRecord prescan
+// of the same record (the prescan pass may — and with a store, should —
+// run through the parallel decoder too).
 //
 // The replayer owns src and closes it in Close. Chunks for a callsite that
 // outpace that callsite's consumption are buffered pending; lockstep
 // callsites keep that buffer near the prefetch depth.
 func NewStream(next *lamport.Layer, meta *RecordMeta, src ChunkSource, opts Options) *Replayer {
-	rp := newReplayer(next, opts)
-	rp.src = src
-	rp.pending = make(map[uint64][]*cdcformat.Chunk)
+	opts.fill()
+	reg := opts.Obs
+	rp := &Replayer{
+		next:        next,
+		opts:        opts,
+		streams:     make(map[uint64]*stream, len(meta.Callsites)),
+		lastSeen:    make(map[int32]uint64),
+		outstanding: make(map[*simmpi.Request]bool),
+		appDone:     make(map[*simmpi.Request]bool),
+		src:         src,
+		pending:     make(map[uint64][]*cdcformat.Chunk),
+
+		obsReg:       reg,
+		mReleases:    reg.Counter("replay.releases"),
+		mOptimistic:  reg.Counter("replay.optimistic"),
+		mLive:        reg.Counter("replay.live.releases"),
+		mStallPolls:  reg.Counter("replay.stall.polls"),
+		mClockWaitNs: reg.Counter("replay.clockwait.ns"),
+		mWaitNs:      reg.Histogram("replay.wait.ns", obs.LatencyBounds()),
+		mPool:        reg.Gauge("replay.pool.depth"),
+	}
 	for cs, cm := range meta.Callsites {
 		name := meta.Names[cs]
 		if name == "" {
@@ -439,8 +398,7 @@ func (sp specPair) accepts(source, tag int) bool {
 type stream struct {
 	name string
 	// fetch returns the callsite's next chunk in record order, ErrExhausted
-	// past the last one, or the decode failure. Eager replays (New) close
-	// over a decoded slice; streaming replays (NewStream) pull from the
+	// past the last one, or the decode failure. NewStream pulls it from the
 	// shared ChunkSource, so a chunk's tables are decoded no earlier than
 	// the prefetch window ahead of the consumption frontier.
 	fetch func() (*cdcformat.Chunk, error)

@@ -66,6 +66,38 @@ func runRecordOpts(t *testing.T, n int, seed int64, a app, paperFormat bool) ([]
 	return obs, files
 }
 
+// openReplayer opens a streaming replayer over one rank's record bytes:
+// a ScanRecord prescan, then NewStream over a second decode pass.
+func openReplayer(next *lamport.Layer, data []byte, opts Options) (*Replayer, error) {
+	scan, err := core.OpenRecord(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	meta, err := ScanRecord(scan)
+	if err != nil {
+		return nil, err
+	}
+	it, err := core.OpenRecord(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return NewStream(next, meta, IterSource(it), opts), nil
+}
+
+// scanFile prescans one rank's record bytes.
+func scanFile(t *testing.T, data []byte) *RecordMeta {
+	t.Helper()
+	it, err := core.OpenRecord(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ScanRecord(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
 // runReplay executes the app under the replayer stack against the given
 // record files, on a world with a different seed (different message
 // timing), and returns per-rank observations.
@@ -75,11 +107,10 @@ func runReplay(t *testing.T, n int, seed int64, files [][]byte, a app) [][]obser
 	obs := make([][]observation, n)
 	var mu sync.Mutex
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := openReplayer(lamport.WrapManual(mpi), files[rank], Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), rec, Options{})
 		got, aerr := a(rp)
 		if aerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, aerr)
@@ -504,11 +535,10 @@ func TestReplayErrorOnMissingCallsite(t *testing.T) {
 	_, files := runRecord(t, 2, 7, gatherWaitApp(3))
 	w := simmpi.NewWorld(2, simmpi.Options{Seed: 8})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		rec, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := openReplayer(lamport.WrapManual(mpi), files[rank], Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), rec, Options{})
 		if rank != 0 {
 			for i := 0; i < 3; i++ {
 				if err := rp.Send(0, 1, []byte("x")); err != nil {
@@ -534,12 +564,11 @@ func TestReplayErrorOnMissingCallsite(t *testing.T) {
 
 func TestVerifyReportsUnreplayedEvents(t *testing.T) {
 	_, files := runRecord(t, 2, 9, gatherWaitApp(5))
-	rec, err := core.ReadRecord(bytes.NewReader(files[0]))
+	w := simmpi.NewWorld(1, simmpi.Options{})
+	rp, err := openReplayer(lamport.WrapManual(w.Comm(0)), files[0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := simmpi.NewWorld(1, simmpi.Options{})
-	rp := New(lamport.WrapManual(w.Comm(0)), rec, Options{})
 	if err := rp.Verify(); err == nil {
 		t.Fatal("Verify passed with a fully unreplayed record")
 	}
@@ -621,11 +650,10 @@ func TestReplayReceiveMaxPolicy(t *testing.T) {
 	}
 	w2 := simmpi.NewWorld(n, simmpi.Options{Seed: 62, MaxJitter: 8})
 	err = w2.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := openReplayer(lamport.WrapManualPolicy(mpi, lamport.ReceiveMax), files[rank], Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManualPolicy(mpi, lamport.ReceiveMax), recFile, Options{})
 		got, aerr := a(rp)
 		if aerr != nil {
 			return fmt.Errorf("rank %d: %w", rank, aerr)
@@ -645,11 +673,22 @@ func TestReplayReceiveMaxPolicy(t *testing.T) {
 	}
 }
 
+// pacedSends delays every send, so a receiver's matches spread over wall
+// time instead of finishing inside one flush interval.
+type pacedSends struct{ simmpi.MPI }
+
+func (p pacedSends) Send(dst, tag int, data []byte) error {
+	time.Sleep(2 * time.Millisecond)
+	return p.MPI.Send(dst, tag, data)
+}
+
 // TestReplayWithPeriodicFlush records under an aggressive time-based flush
 // (many small chunks, gzip sync blocks between them) and verifies the
-// replay is unaffected by the chunking pattern.
+// replay is unaffected by the chunking pattern. Sends are paced so the
+// receiving rank outlives several flush intervals on a fast machine too.
 func TestReplayWithPeriodicFlush(t *testing.T) {
-	a := testsomePoolApp(10, 3)
+	pool := testsomePoolApp(10, 3)
+	a := func(mpi simmpi.MPI) ([]observation, error) { return pool(pacedSends{mpi}) }
 	const n = 4
 	w := simmpi.NewWorld(n, simmpi.Options{Seed: 71, MaxJitter: 8})
 	want := make([][]observation, n)
@@ -679,13 +718,9 @@ func TestReplayWithPeriodicFlush(t *testing.T) {
 	}
 	// The time-based flush must have produced multiple chunks even though
 	// the event count never hit ChunkEvents.
-	rec0, err := core.ReadRecord(bytes.NewReader(files[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
 	chunks := 0
-	for _, cs := range rec0.Chunks {
-		chunks += len(cs)
+	for _, cm := range scanFile(t, files[0]).Callsites {
+		chunks += cm.Chunks
 	}
 	if chunks < 2 {
 		t.Skipf("flush interval produced only %d chunk(s) on this machine; nothing to verify", chunks)
@@ -704,11 +739,10 @@ func TestReplayRecordExhausted(t *testing.T) {
 	_, files := runRecord(t, 2, 81, gatherWaitApp(3))
 	w := simmpi.NewWorld(2, simmpi.Options{Seed: 82, MaxJitter: 4})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := openReplayer(lamport.WrapManual(mpi), files[rank], Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), recFile, Options{})
 		// Replay a LONGER app against the shorter record: the same MF
 		// callsite runs out of recorded events on the extra receive.
 		_, aerr := gatherWaitApp(4)(rp)
@@ -730,11 +764,10 @@ func TestReplayStatsPopulate(t *testing.T) {
 	_, files := runRecord(t, 3, 83, gatherTestApp(6))
 	w := simmpi.NewWorld(3, simmpi.Options{Seed: 84, MaxJitter: 6})
 	err := w.RunRanked(func(rank int, mpi simmpi.MPI) error {
-		recFile, err := core.ReadRecord(bytes.NewReader(files[rank]))
+		rp, err := openReplayer(lamport.WrapManual(mpi), files[rank], Options{})
 		if err != nil {
 			return err
 		}
-		rp := New(lamport.WrapManual(mpi), recFile, Options{})
 		if _, err := gatherTestApp(6)(rp); err != nil {
 			return err
 		}

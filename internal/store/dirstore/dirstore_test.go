@@ -10,7 +10,6 @@ import (
 	"cdcreplay/internal/dst"
 	"cdcreplay/internal/store"
 	"cdcreplay/internal/store/dirstore"
-	"cdcreplay/internal/store/recorddir"
 	"cdcreplay/internal/store/storetest"
 )
 
@@ -20,10 +19,16 @@ func TestDirstoreConformance(t *testing.T) {
 	})
 }
 
+func TestDirstoreRootConformance(t *testing.T) {
+	storetest.RunRoot(t, func(t *testing.T, dir string) store.Root {
+		return dirstore.OpenRoot(dir)
+	})
+}
+
 // TestDirstoreByteCompatGolden pins the redesign's byte-compatibility
 // promise: a run recorded through the dirstore backend produces rank
-// files byte-identical to the raw encoder streams the pre-Store recorddir
-// layout wrote (dirstore keeps SeekableCuts off, and index commits touch
+// files byte-identical to the raw encoder streams the pre-Store layout
+// wrote (dirstore keeps SeekableCuts off, and index commits touch
 // only the manifest). If this test breaks, historical records and the new
 // layout have diverged.
 func TestDirstoreByteCompatGolden(t *testing.T) {
@@ -37,12 +42,12 @@ func TestDirstoreByteCompatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, wantBytes := range want {
-		got, err := os.ReadFile(recorddir.RankPath(dir, rank))
+		got, err := os.ReadFile(rankPath(dir, rank))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantBytes) {
-			t.Errorf("rank %d: dirstore blob (%d bytes) differs from pre-Store recorddir bytes (%d bytes)",
+			t.Errorf("rank %d: dirstore blob (%d bytes) differs from pre-Store record bytes (%d bytes)",
 				rank, len(got), len(wantBytes))
 		}
 	}

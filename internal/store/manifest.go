@@ -65,6 +65,15 @@ type Manifest struct {
 	Shards *ShardMap `json:"shards,omitempty"`
 }
 
+// EffectiveLayout names the backend that wrote the run: Layout, or
+// LayoutDir for a manifest older than the field.
+func (m Manifest) EffectiveLayout() string {
+	if m.Layout == "" {
+		return LayoutDir
+	}
+	return m.Layout
+}
+
 // SpscBackoff is the manifest form of spsc.Backoff (see that type for
 // semantics). MaxNap is stored in nanoseconds to keep the JSON integral.
 type SpscBackoff struct {

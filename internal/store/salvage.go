@@ -2,11 +2,13 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"cdcreplay/internal/cdcformat"
@@ -79,9 +81,10 @@ type RunSalvage struct {
 	// (the swap's rename had not happened yet) was moved into place.
 	Adopted bool
 	// Skipped reports the run was left untouched because its manifest is
-	// unreadable garbage (ErrBadManifest class); Finding says how. A
-	// skipped run is a logged finding, not a sweep failure — one damaged
-	// tenant must not block every other tenant's recovery.
+	// unreadable garbage (ErrBadManifest class) or names another backend's
+	// layout; Finding says which. A skipped run is a logged finding, not a
+	// sweep failure — one damaged tenant must not block every other
+	// tenant's recovery.
 	Skipped bool
 	Finding string
 	// Report is the per-rank salvage outcome (nil unless Salvaged).
@@ -271,6 +274,65 @@ func WriteSegments(w io.Writer, segs []*Segment) (n int64, lastClock uint64, err
 		return fw.BytesWritten(), lastClock, err
 	}
 	return fw.BytesWritten(), lastClock, nil
+}
+
+// SalvageRuns is the Root.SalvageAll sweep shared by the on-disk
+// backends. It walks root (FindRuns) and hands every incomplete run whose
+// manifest names layout (Manifest.EffectiveLayout) to salvage, which
+// recovers that one run in place.
+//
+//   - Complete runs are left untouched and unreported.
+//   - Unreadable-garbage manifests (ErrBadManifest) and incomplete runs of
+//     another layout are Skipped with a finding: salvaging a run with the
+//     wrong backend would rewrite it in a shape its own backend cannot
+//     read.
+//   - An orphaned <run>.salvaged directory (a sibling-swap recovery that
+//     crashed after removing the damaged run, before the rename) is
+//     Adopted by finishing the rename.
+//   - A run's failure is its own Err; the sweep continues past it so one
+//     damaged tenant cannot block every other tenant's recovery.
+//
+// Results are sorted by Dir, so the report order does not depend on the
+// filesystem walk order.
+func SalvageRuns(root, layout string, salvage func(dir string) (*SalvageReport, error)) ([]RunSalvage, error) {
+	dirs, orphans, err := FindRuns(root)
+	if err != nil {
+		return nil, err
+	}
+	var out []RunSalvage
+	// Adopt orphans first, so an adopted run is then seen as complete.
+	for _, tmp := range orphans {
+		dst := strings.TrimSuffix(tmp, SalvageTmpSuffix)
+		rs := RunSalvage{Dir: RelOrSelf(root, dst), Adopted: true}
+		if rs.Err = os.Rename(tmp, dst); rs.Err == nil {
+			dirs = append(dirs, dst)
+		}
+		out = append(out, rs)
+	}
+	for _, dir := range dirs {
+		rs := RunSalvage{Dir: RelOrSelf(root, dir)}
+		m, err := ReadManifestFile(dir)
+		switch {
+		case errors.Is(err, ErrBadManifest):
+			rs.Skipped, rs.Finding = true, err.Error()
+		case err != nil:
+			rs.Err = err
+		case m.Complete:
+			continue
+		case m.EffectiveLayout() != layout:
+			rs.Skipped = true
+			rs.Finding = fmt.Sprintf("layout %q is not %q; leaving it for its own backend", m.EffectiveLayout(), layout)
+		default:
+			if rs.Report, rs.Err = salvage(dir); rs.Err != nil {
+				rs.Err = fmt.Errorf("store: salvaging %s: %w", dir, rs.Err)
+			} else {
+				rs.Salvaged = true
+			}
+		}
+		out = append(out, rs)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
+	return out, nil
 }
 
 // SalvageTmpSuffix names the sibling directory a crash-safe in-place

@@ -6,7 +6,6 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
-	"sort"
 
 	"cdcreplay/internal/store"
 )
@@ -110,43 +109,14 @@ func (r *Root) Open(name string) (store.Store, error) {
 	return NewWithOptions(joinRun(r.root, name), r.opts), nil
 }
 
-// SalvageAll walks the root and recovers every incomplete sharded run in
-// place. Complete runs are untouched; unreadable-garbage manifests and
-// runs recorded under a different layout are skipped with a finding so one
-// damaged or foreign directory never blocks the sweep.
+// SalvageAll recovers every incomplete sharded run under the root in
+// place through the shared sweep (store.SalvageRuns): complete runs are
+// untouched, and garbage manifests and runs of another layout are skipped
+// with a finding.
 func (r *Root) SalvageAll() ([]store.RunSalvage, error) {
-	dirs, _, err := store.FindRuns(r.root)
-	if err != nil {
-		return nil, err
-	}
-	var out []store.RunSalvage
-	for _, dir := range dirs {
-		rs := store.RunSalvage{Dir: store.RelOrSelf(r.root, dir)}
-		m, err := store.ReadManifestFile(dir)
-		switch {
-		case errors.Is(err, store.ErrBadManifest):
-			rs.Skipped = true
-			rs.Finding = err.Error()
-		case err != nil:
-			rs.Err = err
-		case m.Layout != store.LayoutSharded:
-			rs.Skipped = true
-			rs.Finding = fmt.Sprintf("layout %q is not %q; leaving for its own backend", m.Layout, store.LayoutSharded)
-		case m.Complete:
-			continue
-		default:
-			report, err := NewWithOptions(dir, r.opts).Salvage()
-			if err != nil {
-				rs.Err = fmt.Errorf("shardstore: salvaging %s: %w", dir, err)
-			} else {
-				rs.Salvaged = true
-				rs.Report = report
-			}
-		}
-		out = append(out, rs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	return out, nil
+	return store.SalvageRuns(r.root, store.LayoutSharded, func(dir string) (*store.SalvageReport, error) {
+		return NewWithOptions(dir, r.opts).Salvage()
+	})
 }
 
 var _ store.Root = (*Root)(nil)

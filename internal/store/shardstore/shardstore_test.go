@@ -21,6 +21,12 @@ func TestShardstoreConformance(t *testing.T) {
 	})
 }
 
+func TestShardstoreRootConformance(t *testing.T) {
+	storetest.RunRoot(t, func(t *testing.T, dir string) store.Root {
+		return shardstore.OpenRoot(dir)
+	})
+}
+
 // appendBurst opens rank 0 for appending (creating it on the first call),
 // streams events through an encoder, commits one cut, and seals the
 // fragment — one tail fragment per call.

@@ -158,8 +158,9 @@ type Root interface {
 	// "tenant/run"), creating nothing: the store materializes on Create.
 	Open(name string) (Store, error)
 	// SalvageAll recovers every incomplete run under the root in place,
-	// sorted by run name. Unreadable-garbage manifests are skipped with a
-	// logged finding, not an error — one damaged tenant must not block
-	// every other tenant's recovery.
+	// sorted by run name. Unreadable-garbage manifests and runs of another
+	// backend's layout are skipped with a logged finding, not an error —
+	// one damaged or foreign tenant must not block every other tenant's
+	// recovery.
 	SalvageAll() ([]RunSalvage, error)
 }

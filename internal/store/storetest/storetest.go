@@ -4,11 +4,16 @@
 // lifecycle atomicity, chunk-index round trips, seek-decode at committed
 // cuts on seekable backends, epoch-pinned readers racing a live writer
 // (run it under -race), append-resume accounting, and crash-salvage
-// through the DST P4 property.
+// through the DST P4 property. On-disk backends also hand RunRoot a
+// store.Root factory, which checks the multi-run salvage sweep.
 package storetest
 
 import (
+	"bytes"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -392,5 +397,178 @@ func testAppendResume(t *testing.T, st store.Store) {
 	}
 	if got := m.LastCut(0).Events; got != total {
 		t.Fatalf("final cut counts %d events, blob decodes %d (resume base lost?)", got, total)
+	}
+}
+
+// RootFactory returns the on-disk multi-run store rooted at dir, which may
+// not exist yet. The root suite plants a garbage manifest by hand, so it
+// is for file-backed roots only.
+type RootFactory func(t *testing.T, dir string) store.Root
+
+// RunRoot drives the salvage-sweep suite against roots from factory: an
+// incomplete run is recovered and then opens for replay, a complete run is
+// left byte-for-byte untouched, a garbage manifest is skipped with a
+// finding without blocking the sweep, a missing root is an empty sweep,
+// and a second sweep is a no-op.
+func RunRoot(t *testing.T, factory RootFactory) {
+	t.Run("RecoversIncompleteRuns", func(t *testing.T) {
+		dir := t.TempDir()
+		root := factory(t, dir)
+		makeRun(t, root, "acme/run1", true)
+		want := map[string]uint64{
+			"acme/run2":   makeRun(t, root, "acme/run2", false),
+			"globex/run1": makeRun(t, root, "globex/run1", false),
+		}
+		runs := sweep(t, root)
+		if len(runs) != 2 || runs[0].Dir != filepath.FromSlash("acme/run2") || runs[1].Dir != filepath.FromSlash("globex/run1") {
+			t.Fatalf("sweep = %+v, want acme/run2 then globex/run1 (complete run untouched)", runs)
+		}
+		for _, rs := range runs {
+			name := filepath.ToSlash(rs.Dir)
+			if !rs.Salvaged || rs.Err != nil || rs.Report == nil {
+				t.Fatalf("run %s not salvaged: %+v", name, rs)
+			}
+			if kept, _ := rs.Report.Events(); kept != want[name] {
+				t.Fatalf("run %s: salvage kept %d events, %d were committed", name, kept, want[name])
+			}
+			st, err := root.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := store.Open(st, "sweep", 1)
+			if err != nil {
+				t.Fatalf("salvaged run %s does not open for replay: %v", name, err)
+			}
+			if !m.Salvaged {
+				t.Fatalf("salvaged run %s not marked Salvaged", name)
+			}
+			if got, err := pinnedEvents(st); err != nil || got != want[name] {
+				t.Fatalf("salvaged run %s decodes %d events (%v), want %d", name, got, err, want[name])
+			}
+		}
+	})
+	t.Run("LeavesCompleteRuns", func(t *testing.T) {
+		dir := t.TempDir()
+		root := factory(t, dir)
+		makeRun(t, root, "acme/run1", true)
+		before := snapshot(t, dir)
+		if runs := sweep(t, root); len(runs) != 0 {
+			t.Fatalf("sweep of a complete run reported %+v", runs)
+		}
+		sameFiles(t, before, snapshot(t, dir))
+	})
+	t.Run("SkipsGarbageManifest", func(t *testing.T) {
+		dir := t.TempDir()
+		root := factory(t, dir)
+		garbage := filepath.Join(dir, "acme", "garbage")
+		if err := os.MkdirAll(garbage, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(garbage, store.ManifestName), []byte("{not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		makeRun(t, root, "acme/run1", false)
+		runs := sweep(t, root)
+		if len(runs) != 2 {
+			t.Fatalf("sweep = %+v, want the garbage finding and the salvaged run", runs)
+		}
+		if rs := runs[0]; !rs.Skipped || rs.Finding == "" || rs.Err != nil {
+			t.Errorf("garbage manifest not skipped with a finding: %+v", rs)
+		}
+		if rs := runs[1]; !rs.Salvaged || rs.Err != nil {
+			t.Errorf("garbage manifest blocked the sweep: %+v", rs)
+		}
+	})
+	t.Run("MissingRoot", func(t *testing.T) {
+		if runs := sweep(t, factory(t, filepath.Join(t.TempDir(), "nonexistent"))); len(runs) != 0 {
+			t.Fatalf("missing root swept %+v, want an empty sweep", runs)
+		}
+	})
+	t.Run("SecondSweepNoop", func(t *testing.T) {
+		dir := t.TempDir()
+		root := factory(t, dir)
+		makeRun(t, root, "acme/run1", false)
+		if runs := sweep(t, root); len(runs) != 1 || !runs[0].Salvaged {
+			t.Fatalf("first sweep = %+v", runs)
+		}
+		before := snapshot(t, dir)
+		if runs := sweep(t, root); len(runs) != 0 {
+			t.Fatalf("second sweep = %+v, want nothing to do", runs)
+		}
+		sameFiles(t, before, snapshot(t, dir))
+	})
+}
+
+// makeRun records a one-rank run of committed epochs at name and
+// finalizes it when complete is set; an unfinalized run is what a crash
+// leaves. It returns the committed matched-event count.
+func makeRun(t *testing.T, root store.Root, name string, complete bool) uint64 {
+	t.Helper()
+	st, err := root.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Create(store.Manifest{Ranks: 1, App: "sweep"}); err != nil {
+		t.Fatal(err)
+	}
+	events := workload.Stream(workload.StreamParams{Events: 160, Senders: 1, Disorder: 2, Seed: 9})
+	if err := writeEpochs(st, events, 4); err != nil {
+		t.Fatal(err)
+	}
+	if complete {
+		if err := st.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := pinnedEvents(st)
+	if err != nil || n == 0 {
+		t.Fatalf("run %s: committed %d events (%v)", name, n, err)
+	}
+	return n
+}
+
+// sweep runs one SalvageAll, failing on a sweep-level or per-run error.
+func sweep(t *testing.T, root store.Root) []store.RunSalvage {
+	t.Helper()
+	runs, err := root.SalvageAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range runs {
+		if rs.Err != nil {
+			t.Fatalf("run %s: %v", rs.Dir, rs.Err)
+		}
+	}
+	return runs
+}
+
+// snapshot reads every file under dir, keyed by path relative to dir.
+func snapshot(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		buf, err := os.ReadFile(path)
+		files[store.RelOrSelf(dir, path)] = buf
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// sameFiles fails unless two snapshots hold the same files and bytes.
+func sameFiles(t *testing.T, before, after map[string][]byte) {
+	t.Helper()
+	if len(before) != len(after) {
+		t.Fatalf("sweep changed the file set: %d files before, %d after", len(before), len(after))
+	}
+	for path, buf := range before {
+		if !bytes.Equal(buf, after[path]) {
+			t.Fatalf("sweep changed %s", path)
+		}
 	}
 }
