@@ -207,7 +207,7 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cdcformat: move count: %w", err)
 	}
-	if err := sane(nm, c.NumMatched); err != nil {
+	if err := sane(r, nm, c.NumMatched); err != nil {
 		return nil, fmt.Errorf("cdcformat: moves: %w", err)
 	}
 	movesIdx, err := readLPColumn(r, int(nm))
@@ -229,7 +229,7 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cdcformat: with_next count: %w", err)
 	}
-	if err := sane(nw, c.NumMatched); err != nil {
+	if err := sane(r, nw, c.NumMatched); err != nil {
 		return nil, fmt.Errorf("cdcformat: with_next: %w", err)
 	}
 	if c.WithNext, err = readLPColumn(r, int(nw)); err != nil {
@@ -243,7 +243,7 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cdcformat: unmatched count: %w", err)
 	}
-	if err := sane(nu, c.NumMatched+1); err != nil {
+	if err := sane(r, nu, c.NumMatched+1); err != nil {
 		return nil, fmt.Errorf("cdcformat: unmatched: %w", err)
 	}
 	uIdx, err := readLPColumn(r, int(nu))
@@ -265,7 +265,7 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cdcformat: epoch count: %w", err)
 	}
-	if err := sane(ne, c.NumMatched); err != nil {
+	if err := sane(r, ne, c.NumMatched); err != nil {
 		return nil, fmt.Errorf("cdcformat: epoch line: %w", err)
 	}
 	eRanks, err := readLPColumn(r, int(ne))
@@ -287,7 +287,7 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cdcformat: tie count: %w", err)
 	}
-	if err := sane(nt, c.NumMatched); err != nil {
+	if err := sane(r, nt, c.NumMatched); err != nil {
 		return nil, fmt.Errorf("cdcformat: tied clocks: %w", err)
 	}
 	if nt > 0 {
@@ -303,8 +303,8 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cdcformat: tied clock count: %w", err)
 		}
-		if err := sane(cnt, c.NumMatched); err != nil {
-			return nil, fmt.Errorf("cdcformat: tied clock count: %w", err)
+		if cnt > c.NumMatched {
+			return nil, fmt.Errorf("cdcformat: tied clock count %d exceeds matched count %d", cnt, c.NumMatched)
 		}
 		prev += d
 		c.TiedClocks[i] = TiedClock{Clock: prev, Count: cnt}
@@ -316,6 +316,9 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	}
 	if ns != 0 && ns != c.NumMatched {
 		return nil, fmt.Errorf("cdcformat: sender column has %d entries, want 0 or %d", ns, c.NumMatched)
+	}
+	if err := sane(r, ns, c.NumMatched); err != nil {
+		return nil, fmt.Errorf("cdcformat: sender column: %w", err)
 	}
 	if ns > 0 {
 		c.Senders = make([]int32, ns)
@@ -334,6 +337,9 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if nt2 != 0 && nt2 != ns {
 		return nil, fmt.Errorf("cdcformat: tag column has %d entries, want 0 or %d", nt2, ns)
 	}
+	if err := sane(r, nt2, ns); err != nil {
+		return nil, fmt.Errorf("cdcformat: tag column: %w", err)
+	}
 	if nt2 > 0 {
 		c.Tags = make([]int32, nt2)
 	}
@@ -349,7 +355,7 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cdcformat: exception count: %w", err)
 	}
-	if err := sane(nx, c.NumMatched); err != nil {
+	if err := sane(r, nx, c.NumMatched); err != nil {
 		return nil, fmt.Errorf("cdcformat: exceptions: %w", err)
 	}
 	if nx > 0 {
@@ -370,10 +376,15 @@ func Unmarshal(r *varint.Reader) (*Chunk, error) {
 }
 
 // sane guards decode allocations against corrupt counts: no table can be
-// longer than the matched-event count allows.
-func sane(n, limit uint64) error {
+// longer than the matched-event count allows, nor than the bytes left in
+// the input — every element takes at least one byte — so a decode never
+// allocates more than a constant factor of what it was handed.
+func sane(r *varint.Reader, n, limit uint64) error {
 	if n > limit {
 		return fmt.Errorf("table length %d exceeds matched count %d", n, limit)
+	}
+	if n > uint64(r.Len()) {
+		return fmt.Errorf("table length %d exceeds the %d bytes left", n, r.Len())
 	}
 	return nil
 }

@@ -167,6 +167,32 @@ func TestUnmarshalRejectsCorruptCounts(t *testing.T) {
 	}
 }
 
+func TestUnmarshalBoundsAllocationByInput(t *testing.T) {
+	// Nine bytes claiming 1<<24 matched events and as many moves: both
+	// counts pass the matched-count limit, but the input holds no moves.
+	var w varint.Writer
+	w.Uint(1)       // callsite
+	w.Uint(1 << 24) // matched
+	w.Uint(1 << 24) // moves
+	in := w.Result()
+	if len(in) != 9 {
+		t.Fatalf("test chunk is %d bytes, want 9", len(in))
+	}
+	const runs = 16
+	var err error
+	per := allocated(func() {
+		for i := 0; i < runs; i++ {
+			_, err = Unmarshal(varint.NewReader(in))
+		}
+	}) / runs
+	if err == nil {
+		t.Fatal("accepted a move table longer than the input")
+	}
+	if per >= 64<<10 {
+		t.Fatalf("decoding %d bytes allocates %d bytes, want < 64 KiB", len(in), per)
+	}
+}
+
 func TestUnmarshalTruncated(t *testing.T) {
 	c := BuildChunk(3, paperFig4())
 	buf := c.Marshal(nil)

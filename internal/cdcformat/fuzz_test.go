@@ -2,6 +2,7 @@ package cdcformat
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"cdcreplay/internal/tables"
@@ -23,8 +24,24 @@ func fuzzSeedChunk() []byte {
 	return BuildChunkWithSenders(7, events).Marshal(nil)
 }
 
-// FuzzChunkDecode checks decoder totality and re-encode canonicality: on any
-// input, Unmarshal either errors or returns a chunk; on success, the chunk
+// maxDecodeAlloc bounds the heap bytes a decode of n input bytes may
+// allocate: a constant factor per byte (every table element takes at least
+// one byte and decodes into at most a few words) plus slack for the chunk
+// header, error values and the allocation counter's own noise.
+func maxDecodeAlloc(n int) uint64 { return 64*uint64(n) + 64<<10 }
+
+// allocated reports the heap bytes allocated while f runs.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzChunkDecode checks decoder totality, bounded allocation and re-encode
+// canonicality: on any input, Unmarshal either errors or returns a chunk,
+// allocating at most maxDecodeAlloc(len(input)); on success, the chunk
 // must survive Marshal → Unmarshal → Marshal as a byte-for-byte fixed point
 // (the committed corpus under testdata/fuzz is seeded from chunks that
 // cdcdst-explored schedules actually produced — see DESIGN.md §11).
@@ -39,7 +56,11 @@ func FuzzChunkDecode(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Unmarshal(varint.NewReader(data))
+		var c *Chunk
+		var err error
+		if n := allocated(func() { c, err = Unmarshal(varint.NewReader(data)) }); n > maxDecodeAlloc(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over the %d bound", len(data), n, maxDecodeAlloc(len(data)))
+		}
 		if err != nil {
 			return // rejected inputs just must not panic
 		}

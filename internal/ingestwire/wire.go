@@ -229,6 +229,11 @@ func DecodeRows(payload []byte) ([]Row, error) {
 	if n > MaxFrame {
 		return nil, badFrame("events count %d exceeds frame bound", n)
 	}
+	// Every row takes at least one byte, so a count beyond the bytes left
+	// is corrupt; checking it first bounds the allocation by the payload.
+	if n > uint64(rd.Len()) {
+		return nil, badFrame("events count %d exceeds the %d bytes left", n, rd.Len())
+	}
 	rows := make([]Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		r, err := decodeRow(rd)

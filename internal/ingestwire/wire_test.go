@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cdcreplay/internal/tables"
+	"cdcreplay/internal/varint"
 )
 
 func pipePair() (*Conn, *Conn, *bytes.Buffer) {
@@ -258,6 +259,7 @@ func TestDecodeRowsMalformed(t *testing.T) {
 			)
 		}()},
 		{"absurd row count", []byte{0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"row count beyond payload", varint.AppendUint(nil, MaxFrame)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

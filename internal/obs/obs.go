@@ -402,7 +402,9 @@ func (h HistogramSnapshot) Mean() float64 {
 
 // Quantile returns an upper bound on the q-quantile (0 < q ≤ 1) from the
 // bucket counts: the bound of the first bucket at which the cumulative
-// count reaches q·Count. Returns Max for the overflow bucket.
+// count reaches q·Count, clamped to [Min, Max] — no quantile lies outside
+// the observed range, however coarse the bucket. Returns Max for the
+// overflow bucket.
 func (h HistogramSnapshot) Quantile(q float64) uint64 {
 	if h.Count == 0 {
 		return 0
@@ -413,7 +415,7 @@ func (h HistogramSnapshot) Quantile(q float64) uint64 {
 		cum += c
 		if cum >= target {
 			if i < len(h.Bounds) {
-				return h.Bounds[i]
+				return min(max(h.Bounds[i], h.Min), h.Max)
 			}
 			return h.Max
 		}

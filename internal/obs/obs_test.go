@@ -102,6 +102,18 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantileClampsToObservedRange(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("ns", []uint64{100, 1000})
+	h.Observe(3)
+	s := h.snapshot()
+	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
+		if got := s.Quantile(q); got != 3 {
+			t.Errorf("q%v of one observation of 3 in a bucket bounded at 100 = %d, want 3", q, got)
+		}
+	}
+}
+
 func TestBoundsHelpers(t *testing.T) {
 	if got := ExpBounds(1, 2, 4); !reflect.DeepEqual(got, []uint64{1, 2, 4, 8}) {
 		t.Errorf("ExpBounds = %v", got)

@@ -43,11 +43,13 @@
 package replay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -158,10 +160,10 @@ type Replayer struct {
 	lastSeen map[int32]uint64
 	// outstanding holds every receive posted below (by the app through
 	// Irecv, or internally as a probe) whose completion has not been
-	// harvested yet. The replayer polls all of them at every MF call:
-	// a completion bound to one request may have to be released through a
-	// different, spec-equivalent slot.
-	outstanding map[*simmpi.Request]bool
+	// harvested yet, in posting order. The replayer polls all of them at
+	// every MF call: a completion bound to one request may have to be
+	// released through a different, spec-equivalent slot.
+	outstanding []*simmpi.Request
 	// appDone marks requests already virtually completed for the app but
 	// still outstanding below (their own binding is yet to arrive).
 	appDone map[*simmpi.Request]bool
@@ -319,14 +321,13 @@ func NewStream(next *lamport.Layer, meta *RecordMeta, src ChunkSource, opts Opti
 	opts.fill()
 	reg := opts.Obs
 	rp := &Replayer{
-		next:        next,
-		opts:        opts,
-		streams:     make(map[uint64]*stream, len(meta.Callsites)),
-		lastSeen:    make(map[int32]uint64),
-		outstanding: make(map[*simmpi.Request]bool),
-		appDone:     make(map[*simmpi.Request]bool),
-		src:         src,
-		pending:     make(map[uint64][]*cdcformat.Chunk),
+		next:     next,
+		opts:     opts,
+		streams:  make(map[uint64]*stream, len(meta.Callsites)),
+		lastSeen: make(map[int32]uint64),
+		appDone:  make(map[*simmpi.Request]bool),
+		src:      src,
+		pending:  make(map[uint64][]*cdcformat.Chunk),
 
 		obsReg:       reg,
 		mReleases:    reg.Counter("replay.releases"),
@@ -845,7 +846,7 @@ func (rp *Replayer) Irecv(src, tag int) (*simmpi.Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp.outstanding[req] = true
+	rp.outstanding = append(rp.outstanding, req)
 	return req, nil
 }
 
@@ -878,30 +879,35 @@ func (rp *Replayer) Allgather(v float64) ([]float64, error) {
 }
 
 // pollBelow harvests completions of every outstanding receive into the
-// pool, reporting how many arrived.
+// pool in arrival order, reporting how many arrived. Harvested requests
+// leave the outstanding set, which keeps its posting order; a poll that
+// harvests nothing allocates nothing.
 func (rp *Replayer) pollBelow() (int, error) {
-	set := make([]*simmpi.Request, 0, len(rp.outstanding))
-	// Harvest order only populates the pool; releases are matched by the
-	// recorded (sender, clock) keys, so pool order never reaches the app.
-	for r := range rp.outstanding { //cdc:allow(maporder) pool is keyed by (sender, clock); release order comes from the record
-		set = append(set, r)
-	}
-	idxs, sts, err := rp.next.Testsome(set)
+	idxs, sts, err := rp.next.Testsome(rp.outstanding)
 	if err != nil {
 		return 0, err
 	}
+	if len(idxs) == 0 {
+		return 0, nil
+	}
 	for k, i := range idxs {
-		req := set[i]
-		delete(rp.outstanding, req)
+		req := rp.outstanding[i]
+		rp.outstanding[i] = nil
 		delete(rp.appDone, req)
 		rp.pool = append(rp.pool, pooled{st: sts[k], req: req})
 		if src := int32(sts[k].Source); sts[k].Clock > rp.lastSeen[src] {
 			rp.lastSeen[src] = sts[k].Clock
 		}
 	}
-	if len(idxs) > 0 {
-		rp.mPool.Set(int64(len(rp.pool)))
+	kept := rp.outstanding[:0]
+	for _, r := range rp.outstanding {
+		if r != nil {
+			kept = append(kept, r)
+		}
 	}
+	clear(rp.outstanding[len(kept):])
+	rp.outstanding = kept
+	rp.mPool.Set(int64(len(rp.pool)))
 	return len(idxs), nil
 }
 
@@ -912,43 +918,49 @@ func (rp *Replayer) pollBelow() (int, error) {
 // re-posting technique PMPI-level replay tools use. Probes are ordinary
 // requests in the outstanding set; one per spec is enough, and a probe
 // that never matches is as harmless as an application receive that is
-// never matched.
+// never matched. It runs on every stalled spin, so when every spec is
+// already covered it allocates nothing.
 func (rp *Replayer) ensureProbes(reqs []*simmpi.Request) error {
-	type spec struct{ src, tag int }
-	needed := map[spec]bool{}
+	var needed []specPair
 	for _, r := range reqs {
 		if r == nil {
 			continue
 		}
 		src, tag := r.Spec()
-		needed[spec{src, tag}] = true
-	}
-	for r := range rp.outstanding {
-		src, tag := r.Spec()
-		delete(needed, spec{src, tag})
+		sp := specPair{src, tag}
+		if !rp.specOutstanding(sp) && !slices.Contains(needed, sp) {
+			needed = append(needed, sp)
+		}
 	}
 	// Post in sorted spec order: posting order decides which request an
-	// incoming message binds to when specs overlap, so map order here would
-	// leak goroutine-schedule noise into an otherwise deterministic replay.
-	specs := make([]spec, 0, len(needed))
-	for sp := range needed { //cdc:allow(maporder) specs are sorted by (src, tag) immediately below
-		specs = append(specs, sp)
-	}
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].src != specs[j].src {
-			return specs[i].src < specs[j].src
+	// incoming message binds to when specs overlap, so the order of reqs
+	// must not leak into an otherwise deterministic replay.
+	slices.SortFunc(needed, func(a, b specPair) int {
+		if a.src != b.src {
+			return cmp.Compare(a.src, b.src)
 		}
-		return specs[i].tag < specs[j].tag
+		return cmp.Compare(a.tag, b.tag)
 	})
-	for _, sp := range specs {
+	for _, sp := range needed {
 		probe, err := rp.next.Irecv(sp.src, sp.tag)
 		if err != nil {
 			return err
 		}
-		rp.outstanding[probe] = true
+		rp.outstanding = append(rp.outstanding, probe)
 		rp.stats.ProbesPosted++
 	}
 	return nil
+}
+
+// specOutstanding reports whether some outstanding receive has exactly
+// the spec sp.
+func (rp *Replayer) specOutstanding(sp specPair) bool {
+	for _, r := range rp.outstanding {
+		if src, tag := r.Spec(); src == sp.src && tag == sp.tag {
+			return true
+		}
+	}
+	return false
 }
 
 // stream returns the record stream for the calling MF callsite. skip is the
@@ -1296,7 +1308,7 @@ func (rp *Replayer) assignSlot(reqs []*simmpi.Request, used []bool, m pooled) (i
 // finishSlot marks a slot virtually complete. If its own binding is still
 // pending below it stays in the outstanding set and keeps being polled.
 func (rp *Replayer) finishSlot(r *simmpi.Request) {
-	if rp.outstanding[r] {
+	if slices.Contains(rp.outstanding, r) {
 		rp.appDone[r] = true
 	}
 }

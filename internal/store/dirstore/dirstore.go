@@ -213,6 +213,10 @@ func (s *DirStore) Salvage() (*store.SalvageReport, error) {
 	if err := os.Rename(tmp, s.dir); err != nil {
 		return nil, err
 	}
+	// The swap is only durable once the parent directory's entries are.
+	if err := store.SyncDir(filepath.Dir(s.dir)); err != nil {
+		return nil, err
+	}
 	return report, nil
 }
 
@@ -265,15 +269,20 @@ func SalvageTo(dir, outDir string) (*store.SalvageReport, error) {
 
 // writeRankPrefix re-emits the kept frames verbatim into a fresh record
 // file (re-framed, so the new file is itself cleanly closed), reporting
-// its size and closing clock for the rebuilt index.
+// its size and closing clock for the rebuilt index. The file is synced
+// before it is closed: SalvageTo publishes a Complete manifest over it
+// next, and that manifest must never outlive the rank data it indexes.
 func writeRankPrefix(dir string, rank int, segs []*store.Segment) (size int64, lastClock uint64, err error) {
 	f, err := os.Create(rankPath(dir, rank))
 	if err != nil {
 		return 0, 0, err
 	}
 	size, lastClock, err = store.WriteSegments(f, segs)
+	if err == nil {
+		err = f.Sync()
+	}
 	if err != nil {
-		f.Close() //cdc:allow(errsink) best-effort cleanup; the frame-write error is already propagating
+		f.Close() //cdc:allow(errsink) best-effort cleanup; the write or sync error is already propagating
 		return size, lastClock, err
 	}
 	return size, lastClock, f.Close()
